@@ -1,0 +1,13 @@
+"""Self-test setup: the benchmark's modules and the simulator sources
+import the same way ``run.py`` and ``child.py`` see them.
+
+Run from the repository root:  python3 -m pytest perfbench -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
