@@ -157,10 +157,6 @@ class Cluster:
     def running_copy_count(self) -> int:
         return sum(len(s.running_copies) for s in self.servers)
 
-    def snapshot_available(self) -> list[Resources]:
-        """Immutable view of per-server availability (for what-if packing)."""
-        return [s.available for s in self.servers]
-
     @staticmethod
     def build(
         specs: Iterable[tuple[Resources, float]],

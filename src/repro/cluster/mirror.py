@@ -35,10 +35,19 @@ Invariants:
 * The feasibility mask evaluates ``avail + EPS >= demand`` — the exact
   expression of :meth:`repro.resources.Resources.fits_in` (``demand <=
   avail + EPS``) with identical rounding.
+
+Block-bounded best fit (DESIGN.md §5.10): the servers are cut into
+fixed blocks of :data:`BLOCK_SIZE` consecutive ids, and the mirror keeps
+a *stale-high* availability bound per block.  :class:`ScoreRow` — the
+one best-fit kernel, behind :meth:`AvailabilityMirror.best_fit`, the
+task fill and the clone-fill cache — scans blocks in ascending id order
+and skips any block whose bound proves it holds nothing better than the
+best found so far.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -47,26 +56,30 @@ from repro.resources import EPS, Resources
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import Server
-    from repro.sim.shard import ShardMap
 
-__all__ = ["AvailabilityMirror"]
+__all__ = ["BLOCK_SIZE", "AvailabilityMirror", "ScoreRow"]
+
+#: Servers per placement block: block ``k`` holds server ids
+#: ``[k*BLOCK_SIZE, (k+1)*BLOCK_SIZE)``, so server ``i`` is in block
+#: ``i // BLOCK_SIZE``.  Chosen by a sweep over the 30K-server
+#: benchmark workloads (DESIGN.md §5.10); a cluster of at most this
+#: many servers is one block.  Read once, when a mirror is built.
+BLOCK_SIZE = 4096
+
+_NEG_INF = -math.inf
 
 
 class AvailabilityMirror:
     """Incrementally-maintained SoA view of a cluster's availability.
 
-    Sharded mode (DESIGN.md §5.10): :meth:`bind_shards` splits the
-    arrays into K contiguous blocks and maintains a per-shard
-    *stale-high* availability bound — an upper bound on every server's
-    ``avail`` in the block, kept valid for free because allocation only
-    shrinks availability (releases max-update the bound; full block
-    evaluations tighten it exactly).  The blocked kernels scan shards in
-    ascending id order and skip any block whose bound proves it cannot
-    beat the current best, which preserves bitwise identity: max/argmax
-    combines are compare-only (regrouping-safe), ties already resolve to
-    the lowest server id, and the accounting sums below deliberately
-    stay global full-array reductions (``np.sum`` is *not*
-    regrouping-safe, so per-shard partial sums would drift in ulps).
+    Per block of :data:`BLOCK_SIZE` servers the mirror keeps ``_ub_cpu``
+    / ``_ub_mem``, an upper bound on every member's availability.  It is
+    kept valid for free because allocation only shrinks availability:
+    :meth:`update` max-updates the bound on growth (releases,
+    recoveries) and a full block scan in :class:`ScoreRow` tightens it
+    to the exact maximum.  The accounting sums below stay global
+    full-array reductions (``np.sum`` is *not* regrouping-safe, so
+    per-block partial sums would drift in ulps).
     """
 
     __slots__ = (
@@ -80,19 +93,17 @@ class AvailabilityMirror:
         "_coalescing",
         "_pending",
         "_alloc_cache",
-        "_shard_slices",
-        "_shard_of",
+        "_block",
+        "_slices",
         "_ub_cpu",
         "_ub_mem",
     )
 
     def __init__(self, servers: Sequence["Server"]) -> None:
         m = len(servers)
-        # Sharded-mode state (bind_shards); None/empty when unsharded.
-        self._shard_slices: list[tuple[int, int]] | None = None
-        self._shard_of: list[int] | None = None
-        self._ub_cpu: list[float] = []
-        self._ub_mem: list[float] = []
+        b = BLOCK_SIZE
+        self._block = b
+        self._slices = tuple((lo, min(lo + b, m)) for lo in range(0, m, b))
         # Coalesced-update window (batched event drains): while open,
         # ``update`` calls park the server in ``_pending`` instead of
         # storing immediately; ``flush`` replays each parked server's
@@ -108,63 +119,25 @@ class AvailabilityMirror:
         # ``np.sum`` outputs — identical arrays give identical sums, so
         # memoization cannot perturb the utilization integrals.
         self._alloc_cache: tuple[float, float] | None = None
+        avail = [s.available for s in servers]
+        alloc = [s.allocated for s in servers]
         self.cap_cpu = np.fromiter((s.capacity.cpu for s in servers), np.float64, m)
         self.cap_mem = np.fromiter((s.capacity.mem for s in servers), np.float64, m)
-        self.avail_cpu = np.empty(m, np.float64)
-        self.avail_mem = np.empty(m, np.float64)
-        self.alloc_cpu = np.empty(m, np.float64)
-        self.alloc_mem = np.empty(m, np.float64)
+        self.avail_cpu = np.fromiter((a.cpu for a in avail), np.float64, m)
+        self.avail_mem = np.fromiter((a.mem for a in avail), np.float64, m)
+        self.alloc_cpu = np.fromiter((a.cpu for a in alloc), np.float64, m)
+        self.alloc_mem = np.fromiter((a.mem for a in alloc), np.float64, m)
         #: Liveness mask (fault injection): down servers are excluded
         #: from every feasibility mask regardless of their availability
         #: floats, matching ``Server.can_fit``'s up-check exactly.
-        self.up = np.empty(m, dtype=bool)
-        self.refresh(servers)
+        self.up = np.fromiter((s.up for s in servers), bool, m)
+        starts = [lo for lo, _ in self._slices]
+        self._ub_cpu: list[float] = np.maximum.reduceat(self.avail_cpu, starts).tolist()
+        self._ub_mem: list[float] = np.maximum.reduceat(self.avail_mem, starts).tolist()
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def refresh(self, servers: Sequence["Server"]) -> None:
-        """Rebuild every entry from the servers (O(M); used at
-        construction and as the reference point of the property tests)."""
-        for s in servers:
-            self.update(s)
-
-    def bind_shards(self, shard_map: "ShardMap") -> None:
-        """Enable the blocked kernels over a contiguous shard map.
-
-        Idempotent per map; rebinding with a different K rebuilds the
-        bounds.  Non-contiguous maps are rejected — they shard the event
-        queue but not the mirror (the engine only binds contiguous ones).
-        """
-        if not shard_map.contiguous:
-            raise ValueError("mirror sharding requires a contiguous shard map")
-        if shard_map.num_servers != len(self.cap_cpu):
-            raise ValueError(
-                f"shard map covers {shard_map.num_servers} servers, "
-                f"mirror holds {len(self.cap_cpu)}"
-            )
-        slices = shard_map.slices
-        self._shard_slices = slices
-        of = [0] * shard_map.num_servers
-        for k, (lo, hi) in enumerate(slices):
-            for i in range(lo, hi):
-                of[i] = k
-        self._shard_of = of
-        self._retighten_bounds()
-
-    def _retighten_bounds(self) -> None:
-        """Recompute every shard's availability bound exactly."""
-        slices = self._shard_slices
-        assert slices is not None
-        self._ub_cpu = [
-            float(self.avail_cpu[lo:hi].max()) if hi > lo else -np.inf
-            for lo, hi in slices
-        ]
-        self._ub_mem = [
-            float(self.avail_mem[lo:hi].max()) if hi > lo else -np.inf
-            for lo, hi in slices
-        ]
-
     def update(self, server: "Server") -> None:
         """Push one server's availability/allocation into the arrays.
 
@@ -184,15 +157,14 @@ class AvailabilityMirror:
         self.alloc_cpu[i] = alloc.cpu
         self.alloc_mem[i] = alloc.mem
         self.up[i] = server.up
-        if self._shard_of is not None:
-            # Stale-high bound: only growth (releases/recoveries) must
-            # be folded in immediately; shrink is tolerated until the
-            # next full block evaluation tightens the bound.
-            k = self._shard_of[i]
-            if avail.cpu > self._ub_cpu[k]:
-                self._ub_cpu[k] = avail.cpu
-            if avail.mem > self._ub_mem[k]:
-                self._ub_mem[k] = avail.mem
+        # Stale-high bound: only growth (releases/recoveries) must be
+        # folded in immediately; shrink is tolerated until the next
+        # full block scan tightens the bound.
+        k = i // self._block
+        if avail.cpu > self._ub_cpu[k]:
+            self._ub_cpu[k] = avail.cpu
+        if avail.mem > self._ub_mem[k]:
+            self._ub_mem[k] = avail.mem
 
     def begin_coalesce(self) -> None:
         """Open a deferred-update window: ``update`` calls park servers
@@ -218,7 +190,7 @@ class AvailabilityMirror:
         avail_cpu, avail_mem = self.avail_cpu, self.avail_mem
         alloc_cpu, alloc_mem = self.alloc_cpu, self.alloc_mem
         up = self.up
-        shard_of = self._shard_of
+        b = self._block
         ub_cpu, ub_mem = self._ub_cpu, self._ub_mem
         for i, server in pending.items():
             avail = server.available
@@ -228,12 +200,11 @@ class AvailabilityMirror:
             alloc_cpu[i] = alloc.cpu
             alloc_mem[i] = alloc.mem
             up[i] = server.up
-            if shard_of is not None:
-                k = shard_of[i]
-                if avail.cpu > ub_cpu[k]:
-                    ub_cpu[k] = avail.cpu
-                if avail.mem > ub_mem[k]:
-                    ub_mem[k] = avail.mem
+            k = i // b
+            if avail.cpu > ub_cpu[k]:
+                ub_cpu[k] = avail.cpu
+            if avail.mem > ub_mem[k]:
+                ub_mem[k] = avail.mem
         pending.clear()
 
     # ------------------------------------------------------------------
@@ -272,64 +243,8 @@ class AvailabilityMirror:
         straggler-avoidance hook).  Equal scores resolve to the lowest
         server id.
         """
-        if weights is None and self._shard_slices is not None:
-            return self._best_fit_sharded(demand)
-        fits = self.fitting_mask(demand)
-        if not fits.any():
-            return None
-        scores = demand.cpu * self.avail_cpu + demand.mem * self.avail_mem
-        if weights is not None:
-            scores = scores * weights
-        scores[~fits] = -np.inf
-        idx = int(np.argmax(scores))
-        return idx, float(scores[idx])
-
-    def _best_fit_sharded(self, demand: Resources) -> tuple[int, float] | None:
-        """Blocked best-fit with bound pruning — bitwise-identical to the
-        dense kernel.
-
-        Blocks scan ascending; a block is skipped when its availability
-        bound proves no server in it fits, or no score in it can exceed
-        the current best (float multiplication/addition are weakly
-        monotone, so the bound expression ``d·ub`` dominates every
-        member's ``d·avail`` in IEEE arithmetic too).  The equality skip
-        (``<=``) is exact because an equal later-block score would lose
-        the lowest-id tie-break anyway.  Fully evaluating a block
-        tightens its bound as a byproduct.
-        """
-        if self._pending:
-            self.flush()
-        d_cpu, d_mem = demand.cpu, demand.mem
-        ub_cpu, ub_mem = self._ub_cpu, self._ub_mem
-        best_idx = -1
-        best_score = -np.inf
-        for k, (lo, hi) in enumerate(self._shard_slices):  # type: ignore[arg-type]
-            if hi <= lo:
-                continue
-            bc, bm = ub_cpu[k], ub_mem[k]
-            if bc + EPS < d_cpu or bm + EPS < d_mem:
-                continue
-            if best_idx >= 0 and d_cpu * bc + d_mem * bm <= best_score:
-                continue
-            a_c = self.avail_cpu[lo:hi]
-            a_m = self.avail_mem[lo:hi]
-            ub_cpu[k] = float(a_c.max())
-            ub_mem[k] = float(a_m.max())
-            fits = (
-                self.up[lo:hi] & (a_c + EPS >= d_cpu) & (a_m + EPS >= d_mem)
-            )
-            if not fits.any():
-                continue
-            scores = d_cpu * a_c + d_mem * a_m
-            scores[~fits] = -np.inf
-            j = int(np.argmax(scores))
-            s = float(scores[j])
-            if s > best_score:
-                best_idx = lo + j
-                best_score = s
-        if best_idx < 0:
-            return None
-        return best_idx, best_score
+        sid, score = ScoreRow(self, demand, weights).best()
+        return None if sid < 0 else (sid, score)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -356,16 +271,148 @@ class AvailabilityMirror:
     def __len__(self) -> int:
         return len(self.cap_cpu)
 
-    # ------------------------------------------------------------------
-    # Pickling (checkpoint/restore)
-    # ------------------------------------------------------------------
-    def __setstate__(self, state) -> None:
-        # __slots__ classes pickle as (None, {slot: value}); checkpoints
-        # written before sharding lack the shard slots — default them.
-        _, slots = state
-        slots.setdefault("_shard_slices", None)
-        slots.setdefault("_shard_of", None)
-        slots.setdefault("_ub_cpu", [])
-        slots.setdefault("_ub_mem", [])
-        for name, value in slots.items():
-            setattr(self, name, value)
+
+
+class ScoreRow:
+    """One demand's best-fit scores against a mirror, block by block.
+
+    The single best-fit kernel: :meth:`AvailabilityMirror.best_fit`
+    builds a row per query, the task fill one per candidate phase and
+    :class:`~repro.schedulers.packing.CloneScoreCache` one per demand
+    key.  A block's scores (``demand · avail``, times the weight when
+    weighted, ``-inf`` where the demand does not fit) materialize only
+    when :meth:`best` cannot rule the block out:
+
+    * its availability bound cannot fit the demand, or
+    * its bound score ``d·ub`` (times the block's largest weight, or 0
+      if that is negative) is no better than the best found in a lower
+      block.  IEEE multiplication
+      and addition are weakly monotone on non-negative operands, so the
+      bound dominates every member's score in floating point too, and
+      the ``<=`` skip is exact because an equal score in a later block
+      would lose the lowest-id tie-break anyway.
+
+    Blocks scan in ascending id order, and within a block ``np.argmax``
+    keeps the first maximum, so the result is bit-identical to one dense
+    ``argmax`` over the whole score array.
+
+    A materialized block, its argmax and the row's best stay exact while
+    availability only shrinks and every change is reported through
+    :meth:`refresh` — within one scheduling pass.  Shrinking a column
+    that is not the current maximum cannot create a new maximum or an
+    earlier tie (with non-negative weights, which every caller passes),
+    so only a refresh of the argmax column drops a cache.
+    """
+
+    __slots__ = (
+        "_mirror",
+        "_d_cpu",
+        "_d_mem",
+        "_weights",
+        "_wmax",
+        "_blocks",
+        "_argmax",
+        "_best",
+    )
+
+    def __init__(
+        self,
+        mirror: AvailabilityMirror,
+        demand: Resources,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        self._mirror = mirror
+        self._d_cpu = demand.cpu
+        self._d_mem = demand.mem
+        self._weights = weights
+        n = len(mirror._slices)
+        self._wmax = None
+        if weights is not None:
+            # Clamped at zero: a member with a negative weight scores at
+            # most 0, so the bound stays valid for any real weights.
+            wmax = np.maximum.reduceat(weights, [lo for lo, _ in mirror._slices])
+            self._wmax = np.maximum(wmax, 0.0).tolist()
+        #: Per block: the materialized score array (or None) and its
+        #: cached (local argmax, score) (or None when stale).
+        self._blocks: list[np.ndarray | None] = [None] * n
+        self._argmax: list[tuple[int, float] | None] = [None] * n
+        #: Cached (server_id, score) of the whole row, or None.
+        self._best: tuple[int, float] | None = None
+
+    def best(self) -> tuple[int, float]:
+        """(server_id, score) of the best fitting server; ``(-1, -inf)``
+        when no server fits."""
+        top = self._best
+        if top is not None:
+            return top
+        mirror = self._mirror
+        if mirror._pending:
+            mirror.flush()
+        dc, dm = self._d_cpu, self._d_mem
+        ub_cpu, ub_mem = mirror._ub_cpu, mirror._ub_mem
+        wmax = self._wmax
+        blocks, argmax = self._blocks, self._argmax
+        best_id, best_score = -1, _NEG_INF
+        for k, (lo, hi) in enumerate(mirror._slices):
+            bc, bm = ub_cpu[k], ub_mem[k]
+            if bc + EPS < dc or bm + EPS < dm:
+                continue
+            if best_id >= 0:
+                bound = dc * bc + dm * bm
+                if wmax is not None:
+                    bound *= wmax[k]
+                if bound <= best_score:
+                    continue
+            cached = argmax[k]
+            if cached is None:
+                blk = blocks[k]
+                if blk is None:
+                    blk = self._materialize(k, lo, hi)
+                j = int(blk.argmax())
+                cached = argmax[k] = (j, float(blk[j]))
+            j, s = cached
+            if s > best_score:
+                best_id, best_score = lo + j, s
+        top = self._best = (best_id, best_score)
+        return top
+
+    def _materialize(self, k: int, lo: int, hi: int) -> np.ndarray:
+        mirror = self._mirror
+        a_c = mirror.avail_cpu[lo:hi]
+        a_m = mirror.avail_mem[lo:hi]
+        if len(self._blocks) > 1:
+            # The scan is here anyway: tighten the block's bound.  (One
+            # block never prunes on score, so it skips the reductions.)
+            mirror._ub_cpu[k] = float(a_c.max())
+            mirror._ub_mem[k] = float(a_m.max())
+        dc, dm = self._d_cpu, self._d_mem
+        blk = dc * a_c + dm * a_m
+        if self._weights is not None:
+            blk *= self._weights[lo:hi]
+        blk[~(mirror.up[lo:hi] & (a_c + EPS >= dc) & (a_m + EPS >= dm))] = -np.inf
+        self._blocks[k] = blk
+        return blk
+
+    def refresh(self, server_id: int, a_cpu: float, a_mem: float, up: bool) -> None:
+        """Re-score ``server_id`` after its availability shrank to
+        ``(a_cpu, a_mem)`` (``up`` is its liveness)."""
+        b = self._mirror._block
+        k = server_id // b
+        blk = self._blocks[k]
+        if blk is not None:
+            # Same IEEE expressions as _materialize, one server at a time.
+            j = server_id - k * b
+            dc, dm = self._d_cpu, self._d_mem
+            if up and a_cpu + EPS >= dc and a_mem + EPS >= dm:
+                s = dc * a_cpu + dm * a_mem
+                if self._weights is not None:
+                    s *= self._weights[server_id]
+                blk[j] = s
+            else:
+                blk[j] = -np.inf
+            cached = self._argmax[k]
+            if cached is not None and cached[0] == j:
+                self._argmax[k] = None
+        top = self._best
+        if top is not None and top[0] == server_id:
+            self._best = None

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Format tag in the envelope; bumped on any layout change.
-CHECKPOINT_FORMAT = "repro-checkpoint-v1"
+CHECKPOINT_FORMAT = "repro-checkpoint-v2"
 
 #: Fixed pickle protocol so checkpoints written by any supported
 #: interpreter (3.10–3.12) load on any other.
@@ -78,9 +78,6 @@ class CheckpointInfo:
     arrivals_consumed: int
     scheduler: str
     digest: str
-    # Shard count of the frozen session (DESIGN.md §5.10).  Defaults to
-    # 1 so v1 checkpoints written before sharding still summarize.
-    shards: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +90,6 @@ class CheckpointInfo:
             "arrivals_consumed": self.arrivals_consumed,
             "scheduler": self.scheduler,
             "digest": self.digest,
-            "shards": self.shards,
         }
 
 
@@ -108,7 +104,6 @@ def _info_for(engine: "SimulationEngine", digest: str) -> CheckpointInfo:
         arrivals_consumed=engine.arrivals.consumed,
         scheduler=engine.scheduler.name,
         digest=digest,
-        shards=getattr(engine, "shards", 1),
     )
 
 

@@ -91,13 +91,6 @@ class TestQueries:
         best = c.best_fit_server(Resources.of(1, 8))
         assert best is not None and best.server_id == 0
 
-    def test_snapshot_available(self):
-        c = two_server_cluster()
-        snap = c.snapshot_available()
-        assert snap == [Resources.of(8, 16), Resources.of(4, 32)]
-        c[0].allocate(make_copy(make_task(1, 1)))
-        assert snap[0] == Resources.of(8, 16)  # snapshot is immutable
-
     def test_iteration_order(self):
         c = two_server_cluster()
         assert [s.server_id for s in c] == [0, 1]

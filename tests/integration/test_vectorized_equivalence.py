@@ -9,7 +9,9 @@ time, same clone flag — and therefore bit-identical flowtimes and
 result metrics.  The workload mixes DAG jobs (PageRank iterations,
 WordCount map→reduce) with heavy-tailed straggler distributions so the
 runs exercise DAG gating, cloning, first-copy-wins kills and the δ
-budget.
+budget.  The testbed's 30 nodes make one placement block, so each check
+also runs with the block size patched to 4 and 7, where the blocked
+kernels prune against the scalar reference.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.cluster.mirror as mirror_mod
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
 from repro.core.server_learning import LearningDollyMPScheduler
@@ -91,7 +94,7 @@ def run_both(make_sched, schedule_interval=0.0):
     return out
 
 
-@pytest.mark.parametrize(
+SCHEDULERS = pytest.mark.parametrize(
     "make_sched",
     [
         lambda: DollyMPScheduler(max_clones=2),
@@ -101,7 +104,13 @@ def run_both(make_sched, schedule_interval=0.0):
     ],
     ids=["dollymp2", "dollymp0", "tetris", "learning-dollymp"],
 )
-def test_identical_launches_and_metrics(make_sched):
+
+#: Block sizes that cut the 30-node testbed into several blocks (7 does
+#: not divide 30).  The unparametrized tests run the default, one block.
+MULTI_BLOCK = pytest.mark.parametrize("block", [4, 7], ids=["B4", "B7"])
+
+
+def assert_identical_launches_and_metrics(make_sched):
     runs = run_both(make_sched)
     res_vec, log_vec = runs[True]
     res_ref, log_ref = runs[False]
@@ -121,14 +130,36 @@ def test_identical_launches_and_metrics(make_sched):
     assert res_vec.total_usage == res_ref.total_usage
 
 
-def test_identical_in_slotted_mode():
-    """The trace-simulator mode (5 s slots) hits different schedule-pass
-    batching; the paths must still agree exactly."""
+def assert_identical_in_slotted_mode():
     runs = run_both(lambda: DollyMPScheduler(max_clones=2), schedule_interval=5.0)
     res_vec, log_vec = runs[True]
     res_ref, log_ref = runs[False]
     assert log_vec == log_ref
     assert np.array_equal(res_vec.flowtimes(), res_ref.flowtimes())
+
+
+@SCHEDULERS
+def test_identical_launches_and_metrics(make_sched):
+    assert_identical_launches_and_metrics(make_sched)
+
+
+@MULTI_BLOCK
+@SCHEDULERS
+def test_identical_launches_and_metrics_multi_block(make_sched, block, monkeypatch):
+    monkeypatch.setattr(mirror_mod, "BLOCK_SIZE", block)
+    assert_identical_launches_and_metrics(make_sched)
+
+
+def test_identical_in_slotted_mode():
+    """The trace-simulator mode (5 s slots) hits different schedule-pass
+    batching; the paths must still agree exactly."""
+    assert_identical_in_slotted_mode()
+
+
+@MULTI_BLOCK
+def test_identical_in_slotted_mode_multi_block(block, monkeypatch):
+    monkeypatch.setattr(mirror_mod, "BLOCK_SIZE", block)
+    assert_identical_in_slotted_mode()
 
 
 def test_env_flag_selects_scalar_path(monkeypatch):

@@ -189,6 +189,35 @@ class TestFiles:
         with pytest.raises(ValueError, match="not a repro-checkpoint"):
             load_checkpoint(path)
 
+    def test_v1_checkpoint_rejected_by_format(self, tmp_path):
+        """A pre-v2 file fails the envelope check with a clear error, not
+        with whatever its stale state would raise while unpickling (v1
+        mirrors carry slots the mirror no longer has)."""
+        import hashlib
+        import pickle
+
+        from repro.cluster.mirror import AvailabilityMirror
+
+        class V1Mirror:
+            def __reduce__(self):
+                return (object.__new__, (AvailabilityMirror,), (None, {"_shard_of": None}))
+
+        state = pickle.dumps(V1Mirror(), protocol=4)
+        with pytest.raises(AttributeError):
+            pickle.loads(state)
+        info = {"format": "repro-checkpoint-v1", "shards": 1}
+        info["digest"] = hashlib.sha256(state).hexdigest()
+        payload = pickle.dumps({"format": "repro-checkpoint-v1", "info": info, "state": state})
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(payload)
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v2"
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v2 checkpoint"):
+            restore_bytes(payload)
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v2 checkpoint"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v2 checkpoint"):
+            checkpoint_info(path)
+
 
 class TestJsonlEveryCutIdentity:
     """PR 10 bugfix pin: ``attach(skip_consumed=True)`` after restore

@@ -53,11 +53,13 @@ __all__ = [
 _FORMAT = "repro-lint-baseline/v1"
 
 #: (rule, path-prefix) pairs that may never be pinned.  RL014 findings
-#: under the sharded engine's own packages are hard failures: process-
-#: global mutable state there breaks the merge-barrier determinism
-#: contract (DESIGN.md §5.10) for every K, so there is no legitimate
-#: "accepted for now" — the state must move onto the engine/cluster
-#: instance.  ``--update-baseline`` refuses to pin these too.
+#: under the engine's own packages are hard failures: process-global
+#: mutable state there is shared by every engine in the interpreter
+#: (restored checkpoints, side-by-side comparisons, the test suite), so
+#: one run's state leaks into the next and results stop being a pure
+#: function of the seed.  There is no legitimate "accepted for now" —
+#: the state must move onto the engine/cluster instance.
+#: ``--update-baseline`` refuses to pin these too.
 UNBASELINEABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("RL014", ("src/repro/sim/", "src/repro/cluster/")),
 )
