@@ -9,7 +9,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 # Coverage floor lives in pyproject.toml ([tool.coverage.report]).
 COV_FAIL_UNDER = $(shell sed -n 's/^fail_under *= *//p' pyproject.toml)
 
-.PHONY: check lint test smoke replay-smoke fault-smoke engine-smoke service-smoke trace-smoke bench-check coverage bench-trajectory
+.PHONY: check lint test smoke replay-smoke fault-smoke service-smoke trace-smoke bench-check coverage bench-trajectory
 
 check:
 	@MAKE="$(MAKE)" sh tools/check.sh
@@ -32,9 +32,6 @@ replay-smoke:
 
 fault-smoke:
 	$(PYTHON) -m repro.devtools.fault_smoke
-
-engine-smoke:
-	$(PYTHON) -m repro.devtools.engine_smoke
 
 service-smoke:
 	$(PYTHON) -m repro.devtools.service_smoke

@@ -172,7 +172,7 @@ def check_engine_gate() -> bool:
     # baseline was measured in a clean process.
     from benchmarks.engine_bench import _measure_subprocess
 
-    fresh = _measure_subprocess("gate", "current")
+    fresh = _measure_subprocess("gate")
     failed = False
     ratio = recorded["events_per_sec"] / fresh["events_per_sec"]
     verdict = "OK" if ratio <= MAX_SLOWDOWN else "REGRESSION"

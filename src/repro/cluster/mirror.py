@@ -27,9 +27,9 @@ Invariants:
   per-server recompute (``tests/cluster/test_mirror_property.py`` checks
   this after arbitrary allocate/kill/finish sequences).
 * Scores are computed with the same floating-point expression and
-  operation order as the scalar reference (``demand.cpu * avail.cpu +
-  demand.mem * avail.mem``, then an optional per-server weight), so the
-  vectorized and scalar paths produce bit-identical scores.
+  operation order as the scalar reference in ``tests/reference.py``
+  (``demand.cpu * avail.cpu + demand.mem * avail.mem``, then an optional
+  per-server weight), so the two produce bit-identical scores.
 * Ties break to the **lowest server id**: ``np.argmax`` returns the
   first maximal index, matching the scalar loop's strict ``>`` update.
 * The feasibility mask evaluates ``avail + EPS >= demand`` — the exact

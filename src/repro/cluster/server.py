@@ -141,7 +141,7 @@ class Server:
         """Take the server out of service.  The caller (the engine's
         ``Fail`` applier) must have released every resident copy first,
         so the allocation is already snapped to exactly zero; a down
-        server advertises zero availability through both the scalar path
+        server advertises zero availability through both ``available``
         and the mirror."""
         if not self.up:
             raise RuntimeError(f"server {self.server_id}: already down")

@@ -22,8 +22,9 @@ __all__ = ["EPS", "Resources", "ZERO", "sum_resources"]
 # demands, so exact comparisons would spuriously reject feasible packings
 # after a few hundred float additions.  This is the *single* canonical
 # epsilon: every tolerance comparison in the library imports it (enforced
-# by repro-lint rule RL005), so the vectorized mirror, the scalar
-# placement path and the packing masks can never drift apart.
+# by repro-lint rule RL005), so the vectorized mirror, the packing masks
+# and the scalar reference the tests compare them with can never drift
+# apart.
 EPS = 1e-9
 
 

@@ -6,6 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.server import Server
 from repro.cluster.topology import Topology
 from repro.resources import Resources, ZERO
+from tests import reference
 from tests.cluster.test_server import make_copy, make_task
 
 
@@ -96,42 +97,44 @@ class TestQueries:
         assert [s.server_id for s in c] == [0, 1]
 
 
-def identical_cluster(n=4, vectorized=None):
-    return Cluster(
-        [Server(i, Resources.of(8, 16)) for i in range(n)], vectorized=vectorized
-    )
+def identical_cluster(n=4):
+    return Cluster([Server(i, Resources.of(8, 16)) for i in range(n)])
+
+
+def best_fit(c, demand, production):
+    if production:
+        return c.best_fit_server(demand)
+    return reference.best_fit_server(c, demand)
 
 
 class TestTieBreaking:
-    """Equal alignment scores must resolve to the *lowest* server id in
-    both placement paths (scalar strict ``>`` keeps the first maximum;
-    ``np.argmax`` returns the first maximal index)."""
+    """Equal alignment scores must resolve to the *lowest* server id,
+    in production (the mirror's first maximum) and in the scalar
+    reference (strict ``>`` keeps the first maximum)."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_all_equal_picks_server_zero(self, vectorized):
-        c = identical_cluster(vectorized=vectorized)
-        best = c.best_fit_server(Resources.of(2, 4))
+    @pytest.mark.parametrize("production", [True, False])
+    def test_all_equal_picks_server_zero(self, production):
+        c = identical_cluster()
+        best = best_fit(c, Resources.of(2, 4), production)
         assert best is not None and best.server_id == 0
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_tie_after_loading_lowest_wins(self, vectorized):
-        c = identical_cluster(vectorized=vectorized)
+    @pytest.mark.parametrize("production", [True, False])
+    def test_tie_after_loading_lowest_wins(self, production):
+        c = identical_cluster()
         # Load servers 0 and 1 identically: 2 and 3 now tie for best.
         c[0].allocate(make_copy(make_task(4, 8), server_id=0))
         c[1].allocate(make_copy(make_task(4, 8), server_id=1))
-        best = c.best_fit_server(Resources.of(2, 4))
+        best = best_fit(c, Resources.of(2, 4), production)
         assert best is not None and best.server_id == 2
 
     def test_both_modes_agree_on_every_query(self):
-        cv = identical_cluster(vectorized=True)
-        cs = identical_cluster(vectorized=False)
-        for c in (cv, cs):
-            c[1].allocate(make_copy(make_task(3, 6), server_id=1))
-            c[3].allocate(make_copy(make_task(3, 6), server_id=3))
+        c = identical_cluster()
+        c[1].allocate(make_copy(make_task(3, 6), server_id=1))
+        c[3].allocate(make_copy(make_task(3, 6), server_id=3))
         for demand in (Resources.of(2, 4), Resources.of(5, 10), Resources.of(8, 16)):
-            bv, bs = cv.best_fit_server(demand), cs.best_fit_server(demand)
+            bv, bs = c.best_fit_server(demand), reference.best_fit_server(c, demand)
             assert (bv and bv.server_id) == (bs and bs.server_id)
-            assert [s.server_id for s in cv.servers_fitting(demand)] == [
-                s.server_id for s in cs.servers_fitting(demand)
+            assert [s.server_id for s in c.servers_fitting(demand)] == [
+                s.server_id for s in reference.servers_fitting(c, demand)
             ]
-            assert cv.any_fits(demand) == cs.any_fits(demand)
+            assert c.any_fits(demand) == reference.any_fits(c, demand)

@@ -1,9 +1,9 @@
-"""Scalar/vectorized placement equivalence.
+"""Production kernels vs the scalar reference paths.
 
-The vectorized placement engine (availability mirror + batched fill)
-must be a pure performance change: under a fixed seed, the scalar
-reference path (``Cluster(vectorized=False)`` /
-``REPRO_SCALAR_PLACEMENT=1``) and the vectorized path must produce the
+The vectorized engine (availability mirror, block-bounded fills,
+batched knapsack, clone score cache) must be a pure performance change:
+under a fixed seed, a run with every reference path of
+``tests/reference.py`` installed and a production run must produce the
 *identical sequence of copy launches* — same task, same server, same
 time, same clone flag — and therefore bit-identical flowtimes and
 result metrics.  The workload mixes DAG jobs (PageRank iterations,
@@ -16,8 +16,6 @@ kernels prune against the scalar reference.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -29,6 +27,7 @@ from repro.schedulers.tetris import TetrisScheduler
 from repro.sim.runner import run_simulation
 from repro.workload.google_trace import GoogleTraceGenerator, jobs_from_specs
 from repro.workload.mapreduce import pagerank_job, wordcount_job
+from tests.reference import reference_paths
 
 SEED = 7
 
@@ -46,7 +45,7 @@ def mixed_dag_jobs() -> list:
     gen = GoogleTraceGenerator(seed=SEED, mean_theta=25.0)
     trace_jobs = jobs_from_specs(gen.generate(8, mean_interarrival=3.0))
     # jobs_from_specs draws ids from the process-global job counter, so
-    # repeated builds (vectorized run, then scalar run) would otherwise
+    # repeated builds (production run, then reference run) would otherwise
     # get *different* ids — and ids feed tie-breaking via dict order.
     # Pin them so every build is byte-for-byte the same workload.
     for i, job in enumerate(trace_jobs):
@@ -76,22 +75,26 @@ def launch_log(jobs) -> list[tuple]:
     return log
 
 
-def run_both(make_sched, schedule_interval=0.0):
-    out = {}
-    for vectorized in (True, False):
-        cluster = paper_cluster_30_nodes()
-        cluster.vectorized = vectorized
-        jobs = mixed_dag_jobs()
-        result = run_simulation(
-            cluster,
-            make_sched(),
-            jobs,
-            seed=SEED,
-            schedule_interval=schedule_interval,
-            max_time=1e7,
-        )
-        out[vectorized] = (result, launch_log(jobs))
-    return out
+def run_one(make_sched, schedule_interval=0.0):
+    jobs = mixed_dag_jobs()
+    result = run_simulation(
+        paper_cluster_30_nodes(),
+        make_sched(),
+        jobs,
+        seed=SEED,
+        schedule_interval=schedule_interval,
+        max_time=1e7,
+    )
+    return result, launch_log(jobs)
+
+
+def run_both(monkeypatch, make_sched, schedule_interval=0.0):
+    """(production, reference) runs of the same workload."""
+    production = run_one(make_sched, schedule_interval)
+    with monkeypatch.context() as patch:
+        reference_paths(patch)
+        reference = run_one(make_sched, schedule_interval)
+    return production, reference
 
 
 SCHEDULERS = pytest.mark.parametrize(
@@ -110,10 +113,8 @@ SCHEDULERS = pytest.mark.parametrize(
 MULTI_BLOCK = pytest.mark.parametrize("block", [4, 7], ids=["B4", "B7"])
 
 
-def assert_identical_launches_and_metrics(make_sched):
-    runs = run_both(make_sched)
-    res_vec, log_vec = runs[True]
-    res_ref, log_ref = runs[False]
+def assert_identical_launches_and_metrics(monkeypatch, make_sched):
+    (res_vec, log_vec), (res_ref, log_ref) = run_both(monkeypatch, make_sched)
 
     # Identical copy-launch sequences (task, server, time, clone flag,
     # outcome) — the strongest equivalence: every placement decision
@@ -130,43 +131,33 @@ def assert_identical_launches_and_metrics(make_sched):
     assert res_vec.total_usage == res_ref.total_usage
 
 
-def assert_identical_in_slotted_mode():
-    runs = run_both(lambda: DollyMPScheduler(max_clones=2), schedule_interval=5.0)
-    res_vec, log_vec = runs[True]
-    res_ref, log_ref = runs[False]
+def assert_identical_in_slotted_mode(monkeypatch):
+    (res_vec, log_vec), (res_ref, log_ref) = run_both(
+        monkeypatch, lambda: DollyMPScheduler(max_clones=2), schedule_interval=5.0
+    )
     assert log_vec == log_ref
     assert np.array_equal(res_vec.flowtimes(), res_ref.flowtimes())
 
 
 @SCHEDULERS
-def test_identical_launches_and_metrics(make_sched):
-    assert_identical_launches_and_metrics(make_sched)
+def test_identical_launches_and_metrics(make_sched, monkeypatch):
+    assert_identical_launches_and_metrics(monkeypatch, make_sched)
 
 
 @MULTI_BLOCK
 @SCHEDULERS
 def test_identical_launches_and_metrics_multi_block(make_sched, block, monkeypatch):
     monkeypatch.setattr(mirror_mod, "BLOCK_SIZE", block)
-    assert_identical_launches_and_metrics(make_sched)
+    assert_identical_launches_and_metrics(monkeypatch, make_sched)
 
 
-def test_identical_in_slotted_mode():
+def test_identical_in_slotted_mode(monkeypatch):
     """The trace-simulator mode (5 s slots) hits different schedule-pass
     batching; the paths must still agree exactly."""
-    assert_identical_in_slotted_mode()
+    assert_identical_in_slotted_mode(monkeypatch)
 
 
 @MULTI_BLOCK
 def test_identical_in_slotted_mode_multi_block(block, monkeypatch):
     monkeypatch.setattr(mirror_mod, "BLOCK_SIZE", block)
-    assert_identical_in_slotted_mode()
-
-
-def test_env_flag_selects_scalar_path(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_PLACEMENT", "1")
-    assert paper_cluster_30_nodes().vectorized is False
-    monkeypatch.setenv("REPRO_SCALAR_PLACEMENT", "0")
-    assert paper_cluster_30_nodes().vectorized is True
-    monkeypatch.delenv("REPRO_SCALAR_PLACEMENT")
-    assert paper_cluster_30_nodes().vectorized is True
-    assert os.environ.get("REPRO_SCALAR_PLACEMENT") is None
+    assert_identical_in_slotted_mode(monkeypatch)

@@ -139,22 +139,21 @@ def test_slotted_mode_counts_schedule_ticks():
 
 
 def test_placement_query_counters_follow_the_active_path():
-    for vectorized in (True, False):
-        cluster = homogeneous_cluster(8, Resources.of(16, 64))
-        cluster.vectorized = vectorized
-        obs = Observability()
-        run_simulation(
-            cluster,
-            DollyMPScheduler(max_clones=2),
-            [make_chain_job(2, 6, sigma=5.0, job_id=0)],
-            seed=1,
-            observability=obs,
-        )
-        m = obs.snapshot()["metrics"]
-        active = "vectorized" if vectorized else "scalar"
-        idle = "scalar" if vectorized else "vectorized"
-        assert _value(m, "repro_placement_queries_total", path=active) > 0
-        assert _value(m, "repro_placement_queries_total", path=idle) == 0
+    """One unlabelled counter: every clone best-fit query ticks it."""
+    obs = Observability()
+    result = run_simulation(
+        homogeneous_cluster(8, Resources.of(16, 64)),
+        DollyMPScheduler(max_clones=2),
+        [make_chain_job(2, 6, sigma=5.0, job_id=0)],
+        seed=1,
+        observability=obs,
+    )
+    m = obs.snapshot()["metrics"]
+    assert m["repro_placement_queries_total"]["series"] == [
+        {"labels": {}, "value": _value(m, "repro_placement_queries_total")}
+    ]
+    assert result.clones_launched > 0
+    assert _value(m, "repro_placement_queries_total") >= result.clones_launched
 
 
 def test_rejected_actions_are_counted():
