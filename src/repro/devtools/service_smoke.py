@@ -13,7 +13,10 @@ proves the three properties ``python -m repro serve`` promises:
 3. **Restore identity** — a second streamed session cut mid-run with
    ``run_until``, checkpointed to disk, restored, and re-attached to the
    stream (fast-forwarded past the consumed prefix) continues to the
-   same bit-identical result.
+   same bit-identical result, decision journal and span export.  The
+   mid-run checkpoint must hold sealed chunks of both logs at the
+   production chunk size (:mod:`repro.sealing`), so the restore leg
+   exercises incremental checkpoints.
 
 Run:  PYTHONPATH=src python -m repro.devtools.service_smoke
 """
@@ -28,6 +31,7 @@ from pathlib import Path
 
 from repro.cluster.heterogeneity import homogeneous_cluster
 from repro.core.online import DollyMPScheduler
+from repro.observability import Observability
 from repro.resources import Resources
 from repro.service import SignalAwareLineFeed, serve
 from repro.sim.checkpoint import (
@@ -65,6 +69,8 @@ def _mk_engine(jobs_or_source):
         jobs_or_source,
         seed=11,
         schedule_interval=5.0,
+        observability=Observability(),
+        record_trace=True,
     )
 
 
@@ -72,7 +78,8 @@ def main() -> int:
     specs = _specs()
     lines = [json.dumps(spec_to_dict(s), sort_keys=True) for s in specs]
 
-    reference = _mk_engine(jobs_from_specs(specs)).run().deterministic()
+    ref_engine = _mk_engine(jobs_from_specs(specs))
+    reference = ref_engine.run().deterministic()
     if reference.num_jobs != N_JOBS:
         print(
             f"service-smoke: reference run finished {reference.num_jobs} "
@@ -151,6 +158,16 @@ def main() -> int:
             return 1
 
         revived = load_checkpoint(ckpt)
+        # A restored log keeps the chunks it was loaded from as its cache.
+        sealed = (len(revived.trace._sealed), len(revived.observability.tracer._sealed))
+        if not all(sealed):
+            print(
+                "service-smoke: the mid-run checkpoint holds no sealed chunk "
+                f"of the journal ({len(revived.trace)} decisions) or of the "
+                f"span buffer ({len(revived.observability.tracer)} spans)",
+                file=sys.stderr,
+            )
+            return 1
         revived.arrivals.attach(iter(lines), skip_consumed=True)
         revived.drain()
         resumed = revived.finalize().deterministic()
@@ -162,13 +179,32 @@ def main() -> int:
                 file=sys.stderr,
             )
             return 1
+        if list(revived.trace) != list(ref_engine.trace):
+            print(
+                "service-smoke: restored decision journal DIVERGED from the "
+                "one-shot run",
+                file=sys.stderr,
+            )
+            return 1
+        if (
+            revived.observability.tracer.to_dicts()
+            != ref_engine.observability.tracer.to_dicts()
+        ):
+            print(
+                "service-smoke: restored span export DIVERGED from the "
+                "one-shot run",
+                file=sys.stderr,
+            )
+            return 1
 
     print(
         f"service-smoke: {N_JOBS} jobs streamed over JSONL "
         f"({served.events_processed} events, horizon "
         f"{reference.simulated_time:.0f}s); served + "
         f"checkpoint@t={mid.sim_time:g}/restore legs bit-identical to the "
-        f"one-shot run; {len(published)} live metrics publications"
+        f"one-shot run (restore leg: journal and spans too, from "
+        f"{sealed[0]}+{sealed[1]} sealed chunks); {len(published)} live "
+        "metrics publications"
     )
     return 0
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
+from repro.sealing import seal, unseal
+
 __all__ = ["Span", "SpanTracer", "SPAN_SCHEMA", "DEFAULT_SPAN_MAXLEN"]
 
 #: JSONL schema tag written in the header line of an exported span trace.
@@ -97,6 +99,7 @@ class SpanTracer:
         self.clock: Callable[[], float] = clock if clock is not None else _zero_clock
         self.maxlen = maxlen
         self.spans: list[Span] = []
+        self._sealed: list[bytes] = []  # pickled full chunks of spans
         self.dropped = 0
         self._stack: list[Span] = []
         self._seq = 0
@@ -106,11 +109,15 @@ class SpanTracer:
         # The clock is a closure over the owning engine; drop it here and
         # let the engine's __setstate__ rebind it after restore (a
         # standalone restored tracer falls back to the zero clock).
+        # Recorded spans are sealed: full chunks are pickled once and
+        # reused by every later checkpoint.
         state = self.__dict__.copy()
         state["clock"] = None
+        state["spans"] = seal(self.spans, state.pop("_sealed"))
         return state
 
     def __setstate__(self, state) -> None:
+        state["spans"], state["_sealed"] = unseal(*state["spans"])
         self.__dict__.update(state)
         if self.clock is None:
             self.clock = _zero_clock

@@ -39,6 +39,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Union
 
+from repro.sealing import seal, unseal
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import Server
     from repro.workload.task import Task, TaskCopy
@@ -225,6 +227,19 @@ class DecisionTrace:
     def __post_init__(self) -> None:
         if self.maxlen < 1:
             raise ValueError("trace maxlen must be positive")
+        # Pickled full chunks of the journal (not a field: no part of
+        # equality or repr).
+        self._sealed: list[bytes] = []
+
+    # -- pickling (checkpoint/restore, DESIGN.md §5.8) ------------------
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_decisions"] = seal(self._decisions, state.pop("_sealed"))
+        return state
+
+    def __setstate__(self, state) -> None:
+        state["_decisions"], state["_sealed"] = unseal(*state["_decisions"])
+        self.__dict__.update(state)
 
     # -- journal protocol ----------------------------------------------
     def append(self, decision: Decision) -> None:

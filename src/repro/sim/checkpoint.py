@@ -29,6 +29,12 @@ wall_run gauge).  Pull-based arrival sources serialize their consumed
 count and re-attach the byte stream after restore; the engine pulls the
 next job at exactly the same decision point either way.
 
+Cost.  A save pickles the live state plus the unsealed tails of the two
+append-only logs, the span buffer and the decision journal; their full
+chunks are pickled once and the bytes reused by every later save
+(:mod:`repro.sealing`).  Their entries are pure data referenced from
+nowhere else, so pickling them under separate memos loses no aliasing.
+
 Checkpoints are *internal* state snapshots built on :mod:`pickle`: load
 only files you produced (the standard pickle caveat).  The envelope
 carries a format tag and a state fingerprint so a truncated or foreign
@@ -42,7 +48,9 @@ import io
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING
+
+from repro.sealing import PICKLE_PROTOCOL as _PROTOCOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import SimulationEngine
@@ -58,11 +66,7 @@ __all__ = [
 ]
 
 #: Format tag in the envelope; bumped on any layout change.
-CHECKPOINT_FORMAT = "repro-checkpoint-v2"
-
-#: Fixed pickle protocol so checkpoints written by any supported
-#: interpreter (3.10–3.12) load on any other.
-_PROTOCOL = 4
+CHECKPOINT_FORMAT = "repro-checkpoint-v3"
 
 
 @dataclass(frozen=True)
@@ -107,21 +111,27 @@ def _info_for(engine: "SimulationEngine", digest: str) -> CheckpointInfo:
     )
 
 
+def _write_checkpoint(engine: "SimulationEngine", fh: IO[bytes]) -> CheckpointInfo:
+    """Pickle the envelope (format, info, state bytes) straight into ``fh``."""
+    state = pickle.dumps(engine, protocol=_PROTOCOL)
+    digest = hashlib.sha256(state).hexdigest()
+    info = _info_for(engine, digest)
+    pickle.dump(
+        {"format": CHECKPOINT_FORMAT, "info": info.to_dict(), "state": state},
+        fh,
+        protocol=_PROTOCOL,
+    )
+    return info
+
+
 def checkpoint_bytes(engine: "SimulationEngine") -> tuple[bytes, CheckpointInfo]:
     """Serialize a session to bytes; returns ``(payload, info)``.
 
     The engine must be between instants (not inside ``step()``) — every
     public session increment leaves it there.
     """
-    state = pickle.dumps(engine, protocol=_PROTOCOL)
-    digest = hashlib.sha256(state).hexdigest()
-    info = _info_for(engine, digest)
     buf = io.BytesIO()
-    pickle.dump(
-        {"format": CHECKPOINT_FORMAT, "info": info.to_dict(), "state": state},
-        buf,
-        protocol=_PROTOCOL,
-    )
+    info = _write_checkpoint(engine, buf)
     return buf.getvalue(), info
 
 
@@ -147,10 +157,10 @@ def save_checkpoint(engine: "SimulationEngine", path: str | Path) -> CheckpointI
     checkpoint or the new one, never a torn file — the service loop
     overwrites one path periodically and relies on this.
     """
-    payload, info = checkpoint_bytes(engine)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with tmp.open("wb") as fh:
+        info = _write_checkpoint(engine, fh)
     tmp.replace(path)
     return info
 

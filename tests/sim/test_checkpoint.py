@@ -6,7 +6,9 @@ trace, replay journal, and metrics snapshot — including with fault
 injection and observability enabled.
 """
 
+import functools
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -16,7 +18,9 @@ from repro.core.online import DollyMPScheduler
 from repro.faults import FAULT_PROFILES
 from repro.observability import Observability
 from repro.resources import Resources
+from repro import sealing
 from repro.schedulers.fifo import FIFOScheduler
+from repro.sim.actions import Decision, DecisionTrace
 from repro.sim.checkpoint import (
     CHECKPOINT_FORMAT,
     checkpoint_bytes,
@@ -38,6 +42,13 @@ from tests.conftest import make_single_task_job
 def trace_specs(n=15, seed=13, gap=12.0):
     specs = GoogleTraceGenerator(seed=seed).generate(n, mean_interarrival=gap)
     return [replace(s, job_id=i) for i, s in enumerate(specs)]
+
+
+def launch_decision(i):
+    return Decision(
+        seq=i, time=0.0, point=i, cause="schedule", policy="fifo",
+        kind="launch", job_id=1, phase_index=0, task_index=i, server_id=0,
+    )
 
 
 def mk_engine(**kw):
@@ -210,12 +221,40 @@ class TestFiles:
         payload = pickle.dumps({"format": "repro-checkpoint-v1", "info": info, "state": state})
         path = tmp_path / "v1.ckpt"
         path.write_bytes(payload)
-        assert CHECKPOINT_FORMAT == "repro-checkpoint-v2"
-        with pytest.raises(ValueError, match="not a repro-checkpoint-v2 checkpoint"):
+        assert CHECKPOINT_FORMAT == "repro-checkpoint-v3"
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v3 checkpoint"):
             restore_bytes(payload)
-        with pytest.raises(ValueError, match="not a repro-checkpoint-v2 checkpoint"):
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v3 checkpoint"):
             load_checkpoint(path)
-        with pytest.raises(ValueError, match="not a repro-checkpoint-v2 checkpoint"):
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v3 checkpoint"):
+            checkpoint_info(path)
+
+    def test_v2_checkpoint_rejected_by_format(self, tmp_path):
+        """A v2 file (decision journal and span buffer pickled as plain
+        lists) fails the envelope check, not inside ``__setstate__``,
+        which now expects sealed chunks."""
+        import hashlib
+
+        d = launch_decision(0)
+
+        class V2Trace:
+            def __reduce__(self):
+                v2_state = {"maxlen": 10, "meta": {}, "_decisions": [d, d, d]}
+                return (object.__new__, (DecisionTrace,), v2_state)
+
+        state = pickle.dumps(V2Trace(), protocol=4)
+        with pytest.raises(TypeError):
+            pickle.loads(state)
+        info = {"format": "repro-checkpoint-v2"}
+        info["digest"] = hashlib.sha256(state).hexdigest()
+        payload = pickle.dumps({"format": "repro-checkpoint-v2", "info": info, "state": state})
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v3 checkpoint"):
+            restore_bytes(payload)
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v3 checkpoint"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="not a repro-checkpoint-v3 checkpoint"):
             checkpoint_info(path)
 
 
@@ -267,3 +306,143 @@ class TestJsonlEveryCutIdentity:
             revived.arrivals.attach(iter(lines), skip_consumed=True)
             revived.drain()
             assert revived.finalize().deterministic() == ref, f"cut at line {cut}"
+
+
+DEFAULT_CHUNK = sealing.CHUNK_ENTRIES
+
+#: Seeds of the chaos run whose log lengths land exactly on, and one
+#: entry past, a default-size chunk boundary between two instants.
+BOUNDARY_SEEDS = {"journal": 35, "spans": 31}
+
+
+def chaos_engine(seed):
+    return mk_engine(
+        seed=seed,
+        fault_profile=FAULT_PROFILES["chaos"],
+        schedule_interval=5.0,
+        record_trace=True,
+        observability=Observability(),
+    )
+
+
+def log_len(engine, log):
+    return len(engine.trace) if log == "journal" else len(engine.observability.tracer)
+
+
+def observed(engine):
+    """Everything a restored-and-continued run must reproduce."""
+    engine.drain()
+    return (
+        engine.finalize().deterministic(),
+        list(engine.trace),
+        engine.observability.tracer.to_dicts(),
+        engine.observability.registry.to_json(),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted(seed):
+    engine = chaos_engine(seed)
+    engine.start()
+    return observed(engine)
+
+
+class SealSpy:
+    """Stands in for ``pickle`` inside :mod:`repro.sealing` and records
+    the ``(entry type, first seq)`` of every chunk it pickles."""
+
+    loads = staticmethod(pickle.loads)
+
+    def __init__(self):
+        self.sealed = []
+
+    def dumps(self, chunk, protocol):
+        self.sealed.append((type(chunk[0]).__name__, chunk[0].seq))
+        return pickle.dumps(chunk, protocol=protocol)
+
+
+class TestSealedLogs:
+    """Span buffer and decision journal are checkpointed as sealed
+    chunks plus an unsealed tail (DESIGN.md §5.8)."""
+
+    @pytest.mark.parametrize("log", ["journal", "spans"])
+    @pytest.mark.parametrize(
+        "chunk,offset",
+        [(1, 0), (3, 0), (3, 1), (DEFAULT_CHUNK, 0), (DEFAULT_CHUNK, 1)],
+    )
+    def test_restore_identity_on_and_past_a_boundary(self, monkeypatch, log, chunk, offset):
+        seed = BOUNDARY_SEEDS[log]
+        reference = uninterrupted(seed)
+        monkeypatch.setattr(sealing, "CHUNK_ENTRIES", chunk)
+        engine = chaos_engine(seed)
+        engine.start()
+        while not (
+            log_len(engine, log) >= DEFAULT_CHUNK
+            and log_len(engine, log) % chunk == offset
+        ):
+            assert engine.step(), "run ended before the boundary cut"
+        sealed = engine.trace if log == "journal" else engine.observability.tracer
+        cut = log_len(engine, log)
+        revived = restore_bytes(checkpoint_bytes(engine)[0])
+        assert len(sealed._sealed) == cut // chunk
+        assert observed(revived) == reference
+
+    def test_sealed_chunks_are_pickled_once(self, monkeypatch):
+        seed = BOUNDARY_SEEDS["spans"]
+        reference = uninterrupted(seed)
+        spy = SealSpy()
+        monkeypatch.setattr(sealing, "pickle", spy)
+        monkeypatch.setattr(sealing, "CHUNK_ENTRIES", 64)
+        engine = chaos_engine(seed)
+        engine.start()
+        engine.run_until(150.0)
+        checkpoint_bytes(engine)
+        first = list(spy.sealed)
+        assert {kind for kind, _ in first} == {"Decision", "Span"}
+        engine.run_until(350.0)
+        # a second checkpoint of the same engine seals only new chunks
+        revived = restore_bytes(checkpoint_bytes(engine)[0])
+        assert len(spy.sealed) > len(first)
+        # so does a checkpoint of the restored engine: none at all before
+        # it runs on, then only the chunks filled since
+        n = len(spy.sealed)
+        checkpoint_bytes(revived)
+        assert len(spy.sealed) == n
+        revived.run_until(600.0)
+        revived = restore_bytes(checkpoint_bytes(revived)[0])
+        assert len(spy.sealed) > n
+        assert len(set(spy.sealed)) == len(spy.sealed)
+        assert observed(revived) == reference
+
+    def test_cache_is_invisible(self):
+        engine = chaos_engine(BOUNDARY_SEEDS["journal"])
+        engine.start()
+        engine.run_until(600.0)
+        trace, tracer = engine.trace, engine.observability.tracer
+        bare = DecisionTrace(maxlen=trace.maxlen, meta=dict(trace.meta))
+        for d in trace:
+            bare.append(d)
+        before = (trace.decisions, len(tracer), tracer.to_dicts(), repr(trace))
+        revived = restore_bytes(checkpoint_bytes(engine)[0])
+        assert trace._sealed and revived.trace._sealed
+        assert tracer._sealed and revived.observability.tracer._sealed
+        for t in (trace, revived.trace):
+            assert t == bare
+            assert t.decisions == before[0]
+            assert repr(t) == before[3]
+        for s in (tracer, revived.observability.tracer):
+            assert len(s) == before[1]
+            assert s.to_dicts() == before[2]
+
+    def test_shrunk_log_drops_the_cache(self, monkeypatch):
+        monkeypatch.setattr(sealing, "CHUNK_ENTRIES", 3)
+        trace = DecisionTrace()
+        decisions = [launch_decision(i) for i in range(8)]
+        for d in decisions:
+            trace.append(d)
+        pickle.dumps(trace)
+        assert len(trace._sealed) == 2
+        del trace._decisions[4:]
+        trace.append(decisions[7])
+        assert pickle.loads(pickle.dumps(trace)).decisions == (*decisions[:4], decisions[7])
+        assert len(trace._sealed) == 1
