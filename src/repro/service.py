@@ -56,26 +56,42 @@ class SignalAwareLineFeed:
     the session promptly.  This feed reads on a daemon thread into a
     queue; ``close()`` (called from the SIGTERM/SIGINT handler) turns
     the *next* line request into end-of-stream, which the arrival
-    source reports as exhausted — the graceful-drain path.  Lines still
+    source reports as exhausted — the graceful-drain path — and lets
+    the reader thread exit even when the queue is full.  Lines still
     buffered at close are dropped: shutdown means "stop admitting".
+
+    A read error is not an end-of-stream: the lines read before it are
+    delivered, then the next request re-raises it, so a truncated input
+    fails the session instead of draining it as complete.
     """
 
     def __init__(self, stream: TextIO | Iterable[str]) -> None:
         self._queue: queue.Queue[str | None] = queue.Queue(maxsize=1024)
         self._closed = threading.Event()
+        self._error: Exception | None = None
         self._thread = threading.Thread(
             target=self._pump, args=(stream,), name="repro-arrivals", daemon=True
         )
         self._thread.start()
 
+    def _put(self, item: str | None) -> bool:
+        """Queue ``item`` unless the feed closes first."""
+        while not self._closed.is_set():
+            try:
+                self._queue.put(item, timeout=0.1)
+                return True
+            except queue.Full:
+                continue
+        return False
+
     def _pump(self, stream: TextIO | Iterable[str]) -> None:
         try:
             for line in stream:
-                if self._closed.is_set():
+                if not self._put(line):
                     return
-                self._queue.put(line)
-        finally:
-            self._queue.put(None)
+        except Exception as exc:  # re-raised by __next__ in the consumer
+            self._error = exc
+        self._put(None)
 
     def close(self) -> None:
         self._closed.set()
@@ -92,6 +108,8 @@ class SignalAwareLineFeed:
             except queue.Empty:
                 continue
             if item is None:
+                if self._error is not None:
+                    raise self._error
                 raise StopIteration
             return item
 

@@ -8,9 +8,9 @@ simulation semantics entirely to the engine.  Cadences are measured in
 two runs of the same seed checkpoint at the same instants, and a
 restored run re-publishes from the same boundaries.
 
-The driver is also what the `python -m repro serve` loop and the
-service-smoke CI gate share; tests drive it directly with in-memory
-arrival sources.
+The driver is what the `python -m repro serve` loop runs; tests drive
+it directly with in-memory arrival sources, and the identity matrix
+(``tests/integration/test_identity_matrix.py``) through ``serve()``.
 """
 
 from __future__ import annotations

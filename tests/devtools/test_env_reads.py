@@ -25,8 +25,6 @@ ALLOWED = frozenset(
         "REPRO_SANITIZE",
         "REPRO_METRICS",
         "REPRO_PROFILE",
-        "REPRO_SMOKE_ARTIFACTS",
-        "REPRO_TRACE_FIXTURES",
     }
 )
 

@@ -19,11 +19,11 @@ import pytest
 
 from repro.cluster.heterogeneity import paper_cluster_30_nodes
 from repro.core.online import DollyMPScheduler
-from repro.devtools.fault_smoke import SMOKE_PROFILE
 from repro.sim.engine import SimulationEngine
 from repro.sim.replay import assert_replay_identical
 from repro.sim.runner import run_simulation
 from repro.workload.mapreduce import pagerank_job, wordcount_job
+from tests.integration.test_identity_matrix import SMOKE_PROFILE
 from tests.integration.test_vectorized_equivalence import (
     SEED,
     launch_log,
@@ -112,7 +112,7 @@ def _chaos_jobs():
 
 def _chaos_run(scheduler_cls):
     """A recorded, sanitized DollyMP² run of the testbed under the
-    fault-smoke churn profile in 5-s slots."""
+    identity matrix's testbed churn profile in 5-s slots."""
     engine = SimulationEngine(
         paper_cluster_30_nodes(),
         scheduler_cls(max_clones=2),

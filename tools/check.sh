@@ -14,7 +14,7 @@
 
 set -u
 
-GATES="${*:-lint test smoke replay-smoke fault-smoke service-smoke trace-smoke bench-check coverage}"
+GATES="${*:-lint test bench-check coverage}"
 
 SUMMARY="artifacts/check_summary.json"
 mkdir -p "$(dirname "$SUMMARY")"
